@@ -2,7 +2,7 @@
 // as the Markdown tables EXPERIMENTS.md embeds, diffs run-ledger
 // entries (`reportgen -diff -ledger <dir> -app <app>`), and renders the
 // offline performance profile from a run's observability artifacts
-// (`reportgen -profile -trace t.jsonl -events e.jsonl -perf p.jsonl`).
+// (`reportgen -profile -trace t.jsonl -perf p.jsonl`).
 package main
 
 import (
@@ -28,7 +28,6 @@ func main() {
 		runs    = flag.String("diff-runs", "", "with -diff: two comma-separated run IDs (or unique prefixes) instead of the app's last two")
 		profile = flag.Bool("profile", false, "render the offline performance profile (same renderer as zebraconf -mode profile)")
 		traceIn = flag.String("trace", "", "with -profile: the run's JSONL trace file")
-		events  = flag.String("events", "", "with -profile: the run's JSONL event log")
 		perfIn  = flag.String("perf", "", "with -profile: the run's JSONL perf sample series")
 	)
 	flag.Parse()
@@ -37,7 +36,7 @@ func main() {
 		os.Exit(runDiff(*ledgerD, *appName, *runs))
 	}
 	if *profile {
-		os.Exit(runProfile(*traceIn, *events, *perfIn))
+		os.Exit(runProfile(*traceIn, *perfIn))
 	}
 
 	f, err := os.Open(*in)
@@ -80,12 +79,12 @@ func main() {
 // runProfile mirrors `zebraconf -mode profile` through the shared
 // flight renderer, for archived artifacts with no zebraconf build
 // around. Exit 0 on success, 2 on usage or load errors.
-func runProfile(tracePath, eventsPath, perfPath string) int {
-	if tracePath == "" && eventsPath == "" && perfPath == "" {
-		fmt.Fprintln(os.Stderr, "reportgen: -profile needs at least one artifact: -trace, -events, or -perf")
+func runProfile(tracePath, perfPath string) int {
+	if tracePath == "" && perfPath == "" {
+		fmt.Fprintln(os.Stderr, "reportgen: -profile needs at least one artifact: -trace or -perf")
 		return 2
 	}
-	run, err := flight.Load(tracePath, eventsPath, perfPath)
+	run, err := flight.Load(tracePath, perfPath)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "reportgen:", err)
 		return 2

@@ -11,11 +11,11 @@
 //	zebraconf -mode run -app minihdfs -trace /tmp/t.jsonl -metrics /tmp/m.prom -progress
 //	zebraconf -mode run -app minihdfs -workers 4 -seed 7 -checkpoint /tmp/c.jsonl
 //	zebraconf -mode run -app minihdfs -workers 4 -seed 7 -resume /tmp/c.jsonl
-//	zebraconf -mode run -app minihdfs -http :6060 -events /tmp/e.jsonl -ledger /tmp/runs
+//	zebraconf -mode run -app minihdfs -http :6060 -ledger /tmp/runs
 //	zebraconf -mode watch -http-addr :6060            # live terminal dashboard
 //	zebraconf -mode diff -ledger /tmp/runs -app minihdfs
-//	zebraconf -mode run -app minihdfs -perf /tmp/p.jsonl -trace /tmp/t.jsonl -events /tmp/e.jsonl
-//	zebraconf -mode profile -trace /tmp/t.jsonl -events /tmp/e.jsonl -perf /tmp/p.jsonl
+//	zebraconf -mode run -app minihdfs -perf /tmp/p.jsonl -trace /tmp/t.jsonl
+//	zebraconf -mode profile -trace /tmp/t.jsonl -perf /tmp/p.jsonl
 //	zebraconf -mode trends -ledger /tmp/runs -app minihdfs
 //	zebraconf -mode serve -listen :8080 -worker-listen :9090 -token s3cret -state /var/lib/zebraconf
 //	zebraconf -worker -connect host:9090 -token s3cret          # TCP worker joins the service
@@ -103,7 +103,6 @@ func main() {
 		itemRetries    = flag.Int("item-retries", dist.DefaultItemRetries, "crashed/timed-out work item retries before quarantine")
 
 		// Live introspection & run ledger (internal/obs, internal/core/ledger).
-		eventsOut  = flag.String("events", "", "write the JSONL campaign event log (flight recorder) to this file")
 		perfOut    = flag.String("perf", "", "write the JSONL perf sample series (periodic runtime + metrics snapshots) to this file; also analyzed offline by -mode profile")
 		perfPeriod = flag.Duration("perf-period", obs.DefaultSamplePeriod, "perf sampler snapshot period (with -perf or -http)")
 		ledgerDir  = flag.String("ledger", "", "append one run-summary record per campaign to <dir>/ledger.jsonl (compared by -mode diff)")
@@ -184,7 +183,7 @@ func main() {
 		exitCode = runDiff(*ledgerDir, *appName, *diffRuns)
 		return
 	case "profile":
-		exitCode = runProfile(*traceOut, *eventsOut, *perfOut)
+		exitCode = runProfile(*traceOut, *perfOut)
 		return
 	case "trends":
 		exitCode = runTrends(*ledgerDir, *appName, *trendRuns, *trendThreshold)
@@ -231,22 +230,13 @@ func main() {
 	// Observability is assembled only when asked for; a nil Observer
 	// keeps every instrumented path on its no-op branch.
 	var observer *obs.Observer
-	if *traceOut != "" || *metricsOut != "" || *progress || *httpAddr != "" || *eventsOut != "" || *ledgerDir != "" || *perfOut != "" {
+	if *traceOut != "" || *metricsOut != "" || *progress || *httpAddr != "" || *ledgerDir != "" || *perfOut != "" {
 		observer = obs.New()
 		// The status tracker costs a few counters per item either way;
 		// attach it whenever any observability is on so /api answers and
 		// ledger stall counts are available without a dedicated flag.
 		observer.Status = obs.NewStatus()
 		observer.GaugeSet(obs.MBuildInfo, 1, "version", buildVersion(), "go", runtime.Version())
-		if *eventsOut != "" {
-			f, err := os.Create(*eventsOut)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			defer f.Close()
-			observer.Events = obs.NewEventLog(f)
-		}
 		if *traceOut != "" {
 			f, err := os.Create(*traceOut)
 			if err != nil {
@@ -458,7 +448,7 @@ func main() {
 		requestedTests := splitList(*tests)
 		anyTestResolved := len(requestedTests) == 0
 		// The ledger's flags digest covers only execution-affecting flags,
-		// so two runs differing purely in instrumentation (-events, -trace,
+		// so two runs differing purely in instrumentation (-trace, -perf,
 		// -http, -ledger itself…) diff clean.
 		execFlags := map[string]string{
 			"params":          *params,

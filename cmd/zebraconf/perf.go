@@ -9,16 +9,16 @@ import (
 )
 
 // runProfile implements -mode profile: load a finished run's
-// observability artifacts (the same -trace/-events/-perf paths the run
+// observability artifacts (the same -trace/-perf paths the run
 // was invoked with, now read instead of written) and render the offline
 // profile — critical path, worker utilization, duration tails, savings
 // attribution. Exit 0 on success, 2 on usage or load errors.
-func runProfile(tracePath, eventsPath, perfPath string) int {
-	if tracePath == "" && eventsPath == "" && perfPath == "" {
-		fmt.Fprintln(os.Stderr, "zebraconf: -mode profile needs at least one artifact: -trace, -events, or -perf (the files a run wrote)")
+func runProfile(tracePath, perfPath string) int {
+	if tracePath == "" && perfPath == "" {
+		fmt.Fprintln(os.Stderr, "zebraconf: -mode profile needs at least one artifact: -trace or -perf (the files a run wrote)")
 		return 2
 	}
-	run, err := flight.Load(tracePath, eventsPath, perfPath)
+	run, err := flight.Load(tracePath, perfPath)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "zebraconf:", err)
 		return 2

@@ -357,42 +357,34 @@ func Run(app *harness.App, opts Options) *Result {
 	o.ProgressBegin(app.Name)
 	defer o.ProgressFinish()
 	o.Stat().CampaignBegin(app.Name, opts.Parallelism)
-	o.Event(obs.EvCampaignStart,
-		obs.String("app", app.Name),
-		obs.Int("tests", int64(len(tests))),
-		obs.Int("params", int64(schema.Len())))
 	campSpan := o.StartSpan("campaign", obs.NoSpan,
 		obs.String("app", app.Name),
 		obs.Int("tests", int64(len(tests))),
 		obs.Int("params", int64(schema.Len())))
 	defer campSpan.End()
 	// phase opens a child span, times the phase into MPhaseSeconds, and
-	// brackets it in the event log and live status; call the returned
-	// func when the phase ends.
+	// brackets it in the live status; call the returned func when the
+	// phase ends.
 	phase := func(name string) (obs.SpanID, func()) {
 		span := o.StartSpan("phase", campSpan.ID(),
-			obs.String("app", app.Name), obs.String("phase", name))
-		o.Event(obs.EvPhaseStart,
 			obs.String("app", app.Name), obs.String("phase", name))
 		o.Stat().PhaseStart(name)
 		phaseStart := time.Now()
 		return span.ID(), func() {
 			o.Observe(obs.MPhaseSeconds, time.Since(phaseStart).Seconds(),
 				"app", app.Name, "phase", name)
-			o.Event(obs.EvPhaseFinish,
-				obs.String("app", app.Name), obs.String("phase", name),
-				obs.Float("elapsed_s", time.Since(phaseStart).Seconds()))
 			o.Stat().PhaseFinish(name)
 			span.End()
 		}
 	}
 
 	// Phases 1 and 2: pre-run every test, build and schedule work items,
-	// execute their instances. Barriered (default): all pre-runs finish,
-	// items are ranked by predicted duration, then dispatched. Streamed:
-	// one policy-aware queue feeds a single worker pool, so a test's
-	// item dispatches the moment its pre-run finishes and instance
-	// execution overlaps the pre-run tail.
+	// execute their instances. Streamed (the CLI default, -stream): one
+	// policy-aware queue feeds a single worker pool, so a test's item
+	// dispatches the moment its pre-run finishes and instance execution
+	// overlaps the pre-run tail. Barriered (-stream=false, the ablation):
+	// all pre-runs finish, items are ranked by predicted duration, then
+	// dispatched.
 	ex := &campaignExec{app: app, gen: gen, run: run, opts: opts, o: o, phase: phase, force: force}
 	var itemResults []ItemResult
 	var localLeaks int64
@@ -441,12 +433,6 @@ func Run(app *harness.App, opts Options) *Result {
 		obs.Int("executions_saved", res.Counts.ExecutionsSaved),
 		obs.Int("skipped_tests", int64(len(res.SkippedTests))))
 	o.Stat().CampaignFinish()
-	o.Event(obs.EvCampaignFinish,
-		obs.String("app", app.Name),
-		obs.Int("reported", int64(len(res.Reported))),
-		obs.Int("executions", res.Counts.Executed),
-		obs.Int("executions_saved", res.Counts.ExecutionsSaved),
-		obs.Float("elapsed_s", res.Elapsed.Seconds()))
 	return res
 }
 
@@ -517,7 +503,7 @@ func (c *campaignExec) runBarriered(tests []*harness.UnitTest) (pres []testgen.P
 	leakBase := harness.AbandonedGoroutines()
 	itemResults = parallelMap(opts.Parallelism, o, app.Name, "instances", ordered, func(it WorkItem) ItemResult {
 		t0 := time.Now()
-		c.noteDispatch(it)
+		o.Stat().ItemStart(it.ID)
 		r := ExecuteItem(app, c.gen, c.run, opts, span, it, onUnsafe, false)
 		c.observeItem(it, time.Since(t0), r.Executions)
 		return r
@@ -540,31 +526,15 @@ func (c *campaignExec) predict(item WorkItem, preSeconds float64) (secs, trials 
 	return preSeconds * float64(n+1), trials
 }
 
-// noteDispatch marks an item entering execution on the in-process pool
-// (the distributed coordinator emits its own dispatch events with
-// worker attribution).
-func (c *campaignExec) noteDispatch(item WorkItem) {
-	c.o.Event(obs.EvItemDispatch,
-		obs.String("app", c.app.Name),
-		obs.Int("item", int64(item.ID)),
-		obs.String("test", item.Test))
-	c.o.Stat().ItemStart(item.ID)
-}
-
 // observeItem feeds one completed item's wall clock and trial count back
-// into the profile, the predicted-vs-actual accuracy histogram, the
-// event log, and the live status ETA.
+// into the profile, the predicted-vs-actual accuracy histogram, and the
+// live status ETA.
 func (c *campaignExec) observeItem(item WorkItem, elapsed time.Duration, executions int64) {
 	secs := elapsed.Seconds()
 	c.opts.Profile.RecordTrials(c.app.Name, item.Test, secs, executions)
 	if item.PredSeconds > 0 {
 		c.o.Observe(obs.MSchedPredRatio, secs/item.PredSeconds, "app", c.app.Name)
 	}
-	c.o.Event(obs.EvItemComplete,
-		obs.String("app", c.app.Name),
-		obs.Int("item", int64(item.ID)),
-		obs.String("test", item.Test),
-		obs.Float("elapsed_s", secs))
 	c.o.Stat().ItemDone(item.ID, secs)
 }
 
@@ -587,8 +557,6 @@ func (c *campaignExec) unsafeHook() func(testgen.Instance, runner.Result) {
 		set[inst.Test] = true
 		if len(set) == c.opts.QuarantineThreshold {
 			c.o.CounterAdd(obs.MQuarantine, 1, "app", c.app.Name)
-			c.o.Event(obs.EvParamQuarantined,
-				obs.String("app", c.app.Name), obs.String("param", inst.Param))
 			c.o.Stat().ParamQuarantined(inst.Param)
 			c.gen.Quarantine(inst.Param)
 		}

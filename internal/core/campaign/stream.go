@@ -152,7 +152,7 @@ func (p *pipeline) doPreRun(idx int) {
 func (p *pipeline) doItem(item WorkItem) {
 	c := p.exec
 	t0 := time.Now()
-	c.noteDispatch(item)
+	c.o.Stat().ItemStart(item.ID)
 	res := ExecuteItem(c.app, c.gen, c.run, c.opts, p.span, item, p.onUnsafe, false)
 	// Same per-item run-time histogram the barriered parallelMap path
 	// records (queue wait is already observed at the queue's pop), so

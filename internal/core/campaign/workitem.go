@@ -215,12 +215,6 @@ func ExecuteItem(app *harness.App, gen *testgen.Generator, run *runner.Runner, o
 			Evidence:         r.Evidence,
 		})
 		if r.Verdict == runner.VerdictUnsafe {
-			o.Event(obs.EvVerdict,
-				obs.String("app", app.Name),
-				obs.String("param", inst.Param),
-				obs.String("test", item.Test),
-				obs.String("instance", inst.String()),
-				obs.Float("p", r.PValue))
 			o.Stat().ParamVerdict(inst.Param, item.Test, r.PValue)
 			confirmedHere[inst.Param] = true
 			if onUnsafe != nil {

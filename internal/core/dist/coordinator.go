@@ -491,6 +491,9 @@ func (r *Run) session(slot int, sess *workerSession) sessionOutcome {
 	wspan := o.StartSpan("worker", r.span.ID(),
 		obs.String("app", app), obs.Int("slot", int64(slot)))
 	defer wspan.End()
+	if sess.remote != "" {
+		wspan.SetAttr(obs.String("remote", sess.remote))
+	}
 	r.addSession(slot, sess)
 	defer r.removeSession(slot, sess)
 
@@ -515,10 +518,12 @@ func (r *Run) session(slot int, sess *workerSession) sessionOutcome {
 	// Heartbeat stall tracking, gated on hbSeen: stall detection only
 	// arms after this session's first heartbeat, so workers that never
 	// beat (heartbeats off, or protocol fakes predating them) are never
-	// flagged.
+	// flagged. stalls and recoveries tally this session's stall
+	// transitions onto the worker span.
 	var lastHB time.Time
 	hbSeen := false
 	stalled := false
+	var stalls, recoveries int64
 
 	// crash tears the session down after the worker is lost: every
 	// inflight primary attempt is penalized (it may be what killed the
@@ -527,9 +532,6 @@ func (r *Run) session(slot int, sess *workerSession) sessionOutcome {
 	crash := func(reason string) sessionOutcome {
 		sess.kill()
 		o.CounterAdd(obs.MWorkerCrashes, 1, "app", app, "reason", reason)
-		o.Event(obs.EvWorkerCrash,
-			obs.String("app", app), obs.Int("worker", int64(slot)),
-			obs.String("reason", reason))
 		o.Stat().WorkerGone(slot, reason)
 		wspan.SetAttr(obs.String("end", reason), obs.Int("items", int64(itemsDone)))
 		for id, e := range inflight {
@@ -596,20 +598,9 @@ func (r *Run) session(slot int, sess *workerSession) sessionOutcome {
 				if !spec {
 					r.trackFlight(slot, item)
 				}
-				dispatchAttrs := []obs.Attr{
-					obs.String("app", app),
-					obs.Int("item", int64(item.ID)),
-					obs.String("test", item.Test),
-					obs.Int("worker", int64(slot)),
-				}
 				if spec {
-					o.Event(obs.EvSpeculate, dispatchAttrs...)
 					r.o.Stat().SpeculationRun()
 				}
-				if stolen {
-					o.Event(obs.EvSteal, dispatchAttrs...)
-				}
-				o.Event(obs.EvItemDispatch, append(dispatchAttrs, obs.Bool("spec", spec))...)
 				r.o.Stat().ItemStart(item.ID)
 				ispan := o.StartSpan("item", wspan.ID(),
 					obs.String("app", app),
@@ -617,6 +608,9 @@ func (r *Run) session(slot int, sess *workerSession) sessionOutcome {
 					obs.Int("item", int64(item.ID)))
 				if spec {
 					ispan.SetAttr(obs.Bool("spec", true))
+				}
+				if stolen {
+					ispan.SetAttr(obs.Bool("stolen", true))
 				}
 				inflight[item.ID] = entry{item: item, start: time.Now(), spec: spec, span: ispan}
 			}
@@ -653,17 +647,14 @@ func (r *Run) session(slot int, sess *workerSession) sessionOutcome {
 				}
 				ready = true
 				wspan.SetAttr(obs.Int("pid", int64(m.PID)))
-				o.Event(obs.EvWorkerReady,
-					obs.String("app", app), obs.Int("worker", int64(slot)),
-					obs.Int("pid", int64(m.PID)))
 				r.o.Stat().WorkerReady(slot, m.PID)
 			case MsgHeartbeat:
 				lastHB = time.Now()
 				hbSeen = true
 				if stalled {
 					stalled = false
-					o.Event(obs.EvWorkerRecovered,
-						obs.String("app", app), obs.Int("worker", int64(slot)))
+					recoveries++
+					wspan.SetAttr(obs.Int("recoveries", recoveries))
 					r.o.Stat().WorkerRecovered(slot)
 				}
 				o.CounterAdd(obs.MHeartbeats, 1, "app", app, "worker", slotStr)
@@ -731,10 +722,8 @@ func (r *Run) session(slot int, sess *workerSession) sessionOutcome {
 					stalled = true
 					r.stalls.Add(1)
 					o.CounterAdd(obs.MWorkerStalls, 1, "app", app, "worker", slotStr)
-					o.Event(obs.EvWorkerStalled,
-						obs.String("app", app), obs.Int("worker", int64(slot)),
-						obs.Float("silent_s", silent.Seconds()),
-						obs.Int("inflight", int64(len(inflight))))
+					stalls++
+					wspan.SetAttr(obs.Int("stalls", stalls))
 					r.o.Stat().WorkerStalled(slot)
 				}
 			}
@@ -767,9 +756,6 @@ func (r *Run) session(slot int, sess *workerSession) sessionOutcome {
 					r.q.requeue(slot, other.item)
 				}
 				o.CounterAdd(obs.MWorkerCrashes, 1, "app", app, "reason", "timeout")
-				o.Event(obs.EvWorkerCrash,
-					obs.String("app", app), obs.Int("worker", int64(slot)),
-					obs.String("reason", "timeout"))
 				r.o.Stat().WorkerGone(slot, "timeout")
 				wspan.SetAttr(obs.String("end", "timeout"), obs.Int("items", int64(itemsDone)))
 				return sessCrashed
@@ -980,20 +966,11 @@ func (r *Run) recordResult(slot int, res campaign.ItemResult, elapsed time.Durat
 	if dup {
 		// Execution is canonically seeded, so the copies agree; nothing
 		// to record.
-		r.o.Event(obs.EvSpeculationLoss,
-			obs.String("app", r.opts.App),
-			obs.Int("item", int64(res.ID)),
-			obs.Int("worker", int64(slot)),
-			obs.Bool("spec", spec))
 		return false
 	}
 	o, app := r.o, r.opts.App
 	if spec {
 		o.RecordSpeculationWin(app)
-		o.Event(obs.EvSpeculationWin,
-			obs.String("app", app),
-			obs.Int("item", int64(res.ID)),
-			obs.Int("worker", int64(slot)))
 	}
 	if r.journal != nil {
 		if err := r.journal.Append(Record{Kind: KindDone, Item: res.ID, Test: res.Test, Result: &res}); err != nil {
@@ -1003,13 +980,6 @@ func (r *Run) recordResult(slot int, res campaign.ItemResult, elapsed time.Durat
 	o.CounterAdd(obs.MWorkerItems, 1, "app", app, "worker", strconv.Itoa(slot))
 	o.Observe(obs.MItemSeconds, elapsed.Seconds(), "app", app)
 	o.CounterAdd(obs.MItemExecutions, res.Executions, "app", app)
-	o.Event(obs.EvItemComplete,
-		obs.String("app", app),
-		obs.Int("item", int64(res.ID)),
-		obs.String("test", res.Test),
-		obs.Int("worker", int64(slot)),
-		obs.Float("elapsed_s", elapsed.Seconds()),
-		obs.Bool("spec", spec))
 	r.o.Stat().ItemDone(res.ID, elapsed.Seconds())
 	r.o.Stat().WorkerItemDone(slot)
 	if res.ExecutionsSaved > 0 {
@@ -1026,12 +996,6 @@ func (r *Run) recordResult(slot int, res campaign.ItemResult, elapsed time.Durat
 	for _, v := range res.Verdicts {
 		o.RecordVerdict(app, v.Verdict, v.FirstTrialSignal)
 		if v.Verdict == runner.VerdictUnsafe.String() {
-			o.Event(obs.EvVerdict,
-				obs.String("app", app),
-				obs.String("param", v.Param),
-				obs.String("test", res.Test),
-				obs.String("instance", v.Instance),
-				obs.Float("p", v.PValue))
 			r.o.Stat().ParamVerdict(v.Param, res.Test, v.PValue)
 		}
 		if v.Evidence != nil {
@@ -1084,8 +1048,6 @@ func (r *Run) noteConfirmations(res campaign.ItemResult, emit bool) {
 		r.mu.Unlock()
 		if fire && emit {
 			r.o.CounterAdd(obs.MQuarantine, 1, "app", r.opts.App)
-			r.o.Event(obs.EvParamQuarantined,
-				obs.String("app", r.opts.App), obs.String("param", v.Param))
 			r.o.Stat().ParamQuarantined(v.Param)
 			for _, s := range targets {
 				// Best-effort: a send failure means the worker is dying
@@ -1114,11 +1076,6 @@ func (r *Run) retryOrGiveUp(slot int, item campaign.WorkItem, reason string) {
 	r.mu.Unlock()
 	if n <= r.opts.ItemRetries {
 		r.o.CounterAdd(obs.MItemRetries, 1, "app", r.opts.App)
-		r.o.Event(obs.EvItemRetried,
-			obs.String("app", r.opts.App),
-			obs.Int("item", int64(item.ID)),
-			obs.String("test", item.Test),
-			obs.String("reason", reason))
 		r.o.Stat().ItemRequeued(item.ID)
 		r.q.requeue(slot, item)
 		return
@@ -1129,11 +1086,6 @@ func (r *Run) retryOrGiveUp(slot int, item campaign.WorkItem, reason string) {
 		Quarantined: true,
 		Error:       fmt.Sprintf("abandoned after %d attempts (last failure: %s)", n, reason),
 	}
-	r.o.Event(obs.EvItemQuarantined,
-		obs.String("app", r.opts.App),
-		obs.Int("item", int64(item.ID)),
-		obs.String("test", item.Test),
-		obs.String("reason", reason))
 	r.o.Stat().ItemDone(item.ID, 0)
 	if r.journal != nil {
 		if err := r.journal.Append(Record{Kind: KindGiveUp, Item: item.ID, Test: item.Test, Reason: reason}); err != nil {
@@ -1236,9 +1188,6 @@ func (r *Run) obtain(slot int) (*workerSession, error) {
 			return nil, err
 		}
 		r.o.CounterAdd(obs.MWorkerSpawns, 1, "app", r.opts.App, "worker", strconv.Itoa(slot))
-		r.o.Event(obs.EvWorkerSpawn,
-			obs.String("app", r.opts.App), obs.Int("worker", int64(slot)),
-			obs.Int("pid", int64(s.pid)), obs.String("remote", s.remote))
 		r.o.Stat().WorkerSpawned(slot, s.pid)
 	} else {
 		var err error
@@ -1281,9 +1230,6 @@ func (r *Run) spawn(slot int) (*workerSession, error) {
 	if cmd.Process != nil {
 		pid = cmd.Process.Pid
 	}
-	r.o.Event(obs.EvWorkerSpawn,
-		obs.String("app", r.opts.App), obs.Int("worker", int64(slot)),
-		obs.Int("pid", int64(pid)))
 	r.o.Stat().WorkerSpawned(slot, pid)
 	s := &workerSession{
 		w:          stdin,

@@ -212,14 +212,14 @@ func runHBFakeWorker() {
 
 // TestCoordinatorStallDetection runs the silent fake under a 150ms
 // stall threshold: the coordinator must flag the stall (gauge, counter,
-// event, status) while still accepting the late result — stalls are
-// advisory, not kills.
+// worker-span attrs, status) while still accepting the late result —
+// stalls are advisory, not kills.
 func TestCoordinatorStallDetection(t *testing.T) {
 	t.Parallel()
 	o := obs.New()
 	o.Status = obs.NewStatus()
-	var events bytes.Buffer
-	o.Events = obs.NewEventLog(&events)
+	var trace bytes.Buffer
+	o.Tracer = obs.NewTracer(&trace)
 	o.Status.CampaignBegin("fake", 1)
 
 	coord := dist.New(dist.Options{
@@ -258,28 +258,28 @@ func TestCoordinatorStallDetection(t *testing.T) {
 		t.Fatalf("%s = %d, want >= 2", obs.MHeartbeats, n)
 	}
 
-	recs, err := obs.ReadEvents(&events)
+	spans, err := obs.ReadTrace(&trace)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var stalledAt, recoveredAt = -1, -1
-	for i, r := range recs {
-		switch r.Event {
-		case obs.EvWorkerStalled:
-			if stalledAt < 0 {
-				stalledAt = i
-			}
-		case obs.EvWorkerRecovered:
-			recoveredAt = i
-		case obs.EvWorkerCrash:
-			t.Fatalf("crash event during a stall-only run: %+v", r)
+	var workers []obs.SpanRecord
+	for _, sp := range spans {
+		if sp.Name == "worker" {
+			workers = append(workers, sp)
 		}
 	}
-	if stalledAt < 0 {
-		t.Fatal("no worker_stalled event")
+	if len(workers) != 1 {
+		t.Fatalf("worker spans = %+v, want exactly one session", workers)
 	}
-	if recoveredAt < stalledAt {
-		t.Fatalf("no worker_recovered after worker_stalled (stalled@%d recovered@%d)", stalledAt, recoveredAt)
+	w := workers[0]
+	if n, _ := w.Attrs["stalls"].(float64); n < 1 {
+		t.Fatalf("worker span stalls = %v, want >= 1", w.Attrs["stalls"])
+	}
+	if n, _ := w.Attrs["recoveries"].(float64); n < 1 {
+		t.Fatalf("worker span recoveries = %v, want >= 1 after the stall", w.Attrs["recoveries"])
+	}
+	if end := w.Attrs["end"]; end != "done" {
+		t.Fatalf("worker span end = %v during a stall-only run, want done (no crash)", end)
 	}
 
 	ws := o.Status.Workers()

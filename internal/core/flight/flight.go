@@ -1,16 +1,17 @@
 // Package flight is the offline campaign profiler: it ingests one run's
-// trace spans, flight-recorder event log, and perf sample series, and
-// answers "where did the time go?" — the campaign's critical path, how
-// busy each worker slot was, the item-duration and queue-wait tails,
-// and what each savings feature (cache, speculation, stealing, early
-// stopping) actually bought. `zebraconf -mode profile` renders the
-// analysis; `-mode trends` compares the compact per-run summaries the
-// ledger keeps across runs.
+// trace spans and perf sample series, and answers "where did the time
+// go?" — the campaign's critical path, how busy each worker slot was,
+// the item-duration and queue-wait tails, and what each savings feature
+// (cache, speculation, stealing, early stopping) actually bought.
+// `zebraconf -mode profile` renders the analysis; `-mode trends`
+// compares the compact per-run summaries the ledger keeps across runs.
 //
-// Every input is optional: a run traced without -events still yields a
-// critical path, an event log without a trace still yields worker
-// timelines, and both degrade gracefully when absent. Nothing here
-// touches the equivalence invariant — the profiler only explains time.
+// Spans are the one record of what happened when: the critical path,
+// phases, worker lanes and item durations all come from the trace. The
+// perf series adds the time series and the counters spans do not carry.
+// Either input is optional, and the analysis degrades gracefully when
+// one is absent. Nothing here touches the equivalence invariant — the
+// profiler only explains time.
 package flight
 
 import (
@@ -24,14 +25,13 @@ import (
 
 // Run is one campaign's loaded observability artifacts.
 type Run struct {
-	Spans  []obs.SpanRecord
-	Events []obs.EventRecord
-	Perf   []obs.PerfSample
+	Spans []obs.SpanRecord
+	Perf  []obs.PerfSample
 }
 
 // Load reads a run's artifacts from disk. Any path may be empty
 // (artifact absent); a named file must parse.
-func Load(tracePath, eventsPath, perfPath string) (*Run, error) {
+func Load(tracePath, perfPath string) (*Run, error) {
 	r := &Run{}
 	if tracePath != "" {
 		f, err := os.Open(tracePath)
@@ -42,17 +42,6 @@ func Load(tracePath, eventsPath, perfPath string) (*Run, error) {
 		f.Close()
 		if err != nil {
 			return nil, fmt.Errorf("flight: trace %s: %w", tracePath, err)
-		}
-	}
-	if eventsPath != "" {
-		f, err := os.Open(eventsPath)
-		if err != nil {
-			return nil, fmt.Errorf("flight: events: %w", err)
-		}
-		r.Events, err = obs.ReadEvents(f)
-		f.Close()
-		if err != nil {
-			return nil, fmt.Errorf("flight: events %s: %w", eventsPath, err)
 		}
 	}
 	if perfPath != "" {
@@ -66,8 +55,8 @@ func Load(tracePath, eventsPath, perfPath string) (*Run, error) {
 			return nil, fmt.Errorf("flight: perf %s: %w", perfPath, err)
 		}
 	}
-	if len(r.Spans) == 0 && len(r.Events) == 0 && len(r.Perf) == 0 {
-		return nil, fmt.Errorf("flight: no artifacts to analyze (need -trace, -events, or -perf output)")
+	if len(r.Spans) == 0 && len(r.Perf) == 0 {
+		return nil, fmt.Errorf("flight: no artifacts to analyze (need -trace or -perf output)")
 	}
 	return r, nil
 }
@@ -89,7 +78,9 @@ type PathStep struct {
 	Attrs map[string]any
 }
 
-// ItemStat is one completed work item, from EvItemComplete.
+// ItemStat is one accounted work item: an in-process `test` span under
+// a phase, or a dist `item` span that neither ended early nor lost a
+// speculation race.
 type ItemStat struct {
 	Item    int64
 	Test    string
@@ -103,25 +94,29 @@ type ItemStat struct {
 // single aggregate "pool" row (Slot == -1).
 type WorkerStat struct {
 	Slot int64
-	// BusyUS is the union of this lane's dispatch→complete intervals —
-	// wall time with at least one item in flight, so per-worker
+	// BusyUS is the union of this lane's item-span intervals — wall
+	// time with at least one item attempt in flight, so per-worker
 	// parallelism does not overcount.
-	BusyUS  int64
-	Items   int
-	Steals  int
-	Spec    int
+	BusyUS int64
+	Items  int
+	Steals int
+	Spec   int
 	// Timeline is the lane's busy/idle occupancy bucketed over the run
 	// window (values in [0,1]), ready for sparkline rendering.
 	Timeline []float64
 }
 
-// Savings aggregates what each optimization contributed, from events
-// (counts) and the final perf sample (counters events do not carry).
+// Savings aggregates what each optimization contributed, from spans
+// (executions saved, cache-hit totals) and the final perf sample
+// (per-scope cache split, steals, speculation, trial savings).
 type Savings struct {
-	CacheHits       map[string]int64 // by scope: local | shared | coalesced
-	SpeculationRuns int64
-	SpeculationWins int64
-	Steals          int64
+	// CacheHits is by scope: local | shared | coalesced from the perf
+	// counters, and unscoped for cache-hit spans those counters do not
+	// cover (no -perf, or hits inside worker processes).
+	CacheHits         map[string]int64
+	SpeculationRuns   int64
+	SpeculationWins   int64
+	Steals            int64
 	TrialsSavedEarly  int64
 	TrialsReallocated int64
 	ExecutionsSaved   int64
@@ -132,15 +127,14 @@ type Analysis struct {
 	// MakespanUS spans the earliest to latest observed timestamp across
 	// all artifacts.
 	MakespanUS int64
-	// Phases maps phase name to its wall duration (from phase spans, or
-	// phase events when the run had no trace).
+	// Phases maps phase name to its wall duration, from phase spans.
 	Phases map[string]float64
 	// CriticalPath walks root → leaf along the latest-finisher chain;
 	// CriticalPathUS is the root step's duration.
 	CriticalPath   []PathStep
 	CriticalPathUS int64
-	// Items is every completed work item, slowest first.
-	Items []ItemStat
+	// Items is every accounted work item, slowest first.
+	Items            []ItemStat
 	ItemP50, ItemP95 float64
 	// Workers has one row per execution lane (dist slots, or one
 	// aggregate row in-process), slot order.
@@ -162,10 +156,26 @@ const timelineBuckets = 60
 // Analyze profiles a loaded run.
 func Analyze(r *Run) *Analysis {
 	a := &Analysis{Phases: map[string]float64{}}
-	a.analyzeSpans(r.Spans)
-	a.analyzeEvents(r.Events)
+	hits := a.analyzeSpans(r.Spans)
 	a.analyzePerf(r.Perf)
+	var scoped int64
+	for _, n := range a.Savings.CacheHits {
+		scoped += n
+	}
+	if hits > scoped {
+		a.addCacheHits("unscoped", hits-scoped)
+	}
 	return a
+}
+
+func (a *Analysis) addCacheHits(scope string, n int64) {
+	if n <= 0 {
+		return
+	}
+	if a.Savings.CacheHits == nil {
+		a.Savings.CacheHits = map[string]int64{}
+	}
+	a.Savings.CacheHits[scope] += n
 }
 
 func attrString(attrs map[string]any, key string) string {
@@ -195,9 +205,11 @@ func attrFloat(attrs map[string]any, key string) (float64, bool) {
 	return 0, false
 }
 
-func (a *Analysis) analyzeSpans(spans []obs.SpanRecord) {
+// analyzeSpans derives everything the trace records and returns the
+// number of cache-hit spans.
+func (a *Analysis) analyzeSpans(spans []obs.SpanRecord) (cacheHits int64) {
 	if len(spans) == 0 {
-		return
+		return 0
 	}
 	byID := make(map[obs.SpanID]*obs.SpanRecord, len(spans))
 	children := make(map[obs.SpanID][]*obs.SpanRecord)
@@ -228,15 +240,23 @@ func (a *Analysis) analyzeSpans(spans []obs.SpanRecord) {
 		a.MakespanUS = span
 	}
 
-	// Phase durations from phase spans.
+	// Phase durations, saved executions summed over every campaign (an
+	// -app all run has one campaign span per app), and cache hits.
 	for i := range spans {
 		s := &spans[i]
-		if s.Name == "phase" {
+		switch s.Name {
+		case "phase":
 			if p := attrString(s.Attrs, "phase"); p != "" {
 				a.Phases[p] += float64(s.DurUS) / 1e6
 			}
+		case "campaign":
+			saved, _ := attrInt(s.Attrs, "executions_saved")
+			a.Savings.ExecutionsSaved += saved
+		case "cache-hit":
+			cacheHits++
 		}
 	}
+	a.analyzeLanes(spans, byID, minStart, maxEnd)
 
 	// Critical path: from the latest-ending root, descend into the
 	// child that finished last (what the parent was waiting on when it
@@ -252,10 +272,11 @@ func (a *Analysis) analyzeSpans(spans []obs.SpanRecord) {
 		}
 	}
 	if root == nil {
-		return
+		return cacheHits
 	}
 	a.CriticalPathUS = root.DurUS
 	a.walkPath(root, 0, children)
+	return cacheHits
 }
 
 // walkPath appends s and its critical descendants to the path. Spans
@@ -380,129 +401,70 @@ func occupancy(ivs []interval, lo, hi int64, n int) []float64 {
 	return out
 }
 
-func (a *Analysis) analyzeEvents(events []obs.EventRecord) {
-	if len(events) == 0 {
-		return
-	}
-	var minT, maxT int64
-	minT = events[0].TimeUS
-	for _, e := range events {
-		if e.TimeUS < minT {
-			minT = e.TimeUS
-		}
-		if e.TimeUS > maxT {
-			maxT = e.TimeUS
-		}
-	}
-	if span := maxT - minT; span > a.MakespanUS {
-		a.MakespanUS = span
-	}
-
-	// Phase durations from events, when the run had no trace.
-	if len(a.Phases) == 0 {
-		starts := map[string]int64{}
-		for _, e := range events {
-			p := attrString(e.Attrs, "phase")
-			switch e.Event {
-			case obs.EvPhaseStart:
-				starts[p] = e.TimeUS
-			case obs.EvPhaseFinish:
-				if t0, ok := starts[p]; ok {
-					a.Phases[p] += float64(e.TimeUS-t0) / 1e6
-				}
-			}
-		}
-	}
-
-	// Reconstruct dispatch→complete intervals per lane. The dist
-	// coordinator attributes both events to a worker slot; the
-	// in-process pool carries no worker attr and collapses to lane -1.
-	type flight struct {
-		start int64
-		lane  int64
-	}
-	open := map[int64]flight{} // item ID → in-flight
+// analyzeLanes rebuilds each execution lane's busy intervals and the
+// accounted items from the span tree. A dist lane is the interval of
+// each `item` span, keyed by its parent `worker` span's slot; the
+// in-process pool (lane -1) is each `test` span whose parent is a
+// `phase`. Worker `test` fragments stitched under an item span match
+// neither rule, so no execution is counted twice. [lo, hi] is the
+// trace window the occupancy timelines cover.
+func (a *Analysis) analyzeLanes(spans []obs.SpanRecord, byID map[obs.SpanID]*obs.SpanRecord, lo, hi int64) {
 	lanes := map[int64]*WorkerStat{}
-	lane := func(slot int64) *WorkerStat {
+	ivs := map[int64][]interval{}
+	for i := range spans {
+		s := &spans[i]
+		parent := byID[s.Parent]
+		if parent == nil {
+			continue
+		}
+		slot := int64(-1)
+		switch {
+		case s.Name == "item" && parent.Name == "worker":
+			var ok bool
+			if slot, ok = attrInt(parent.Attrs, "slot"); !ok {
+				continue
+			}
+		case s.Name == "test" && parent.Name == "phase":
+			// The in-process pool lane keeps slot -1.
+		default:
+			continue
+		}
 		w := lanes[slot]
 		if w == nil {
 			w = &WorkerStat{Slot: slot}
 			lanes[slot] = w
 		}
-		return w
-	}
-	ivs := map[int64][]interval{}
-	for _, e := range events {
-		switch e.Event {
-		case obs.EvItemDispatch:
-			item, ok := attrInt(e.Attrs, "item")
-			if !ok {
-				continue
-			}
-			slot := int64(-1)
-			if w, ok := attrInt(e.Attrs, "worker"); ok {
-				slot = w
-			}
-			open[item] = flight{start: e.TimeUS, lane: slot}
-			if spec, _ := e.Attrs["spec"].(bool); spec {
-				lane(slot).Spec++
-			}
-		case obs.EvItemComplete:
-			item, ok := attrInt(e.Attrs, "item")
-			if !ok {
-				continue
-			}
-			slot := int64(-1)
-			if w, ok := attrInt(e.Attrs, "worker"); ok {
-				slot = w
-			}
-			st := ItemStat{Item: item, Test: attrString(e.Attrs, "test"), Worker: slot}
-			st.Seconds, _ = attrFloat(e.Attrs, "elapsed_s")
-			st.Spec, _ = e.Attrs["spec"].(bool)
-			a.Items = append(a.Items, st)
-			w := lane(slot)
-			w.Items++
-			if f, ok := open[item]; ok {
-				delete(open, item)
-				ivs[f.lane] = append(ivs[f.lane], interval{f.start, e.TimeUS})
-			} else if st.Seconds > 0 {
-				// Completion without a matched dispatch (a stitched or
-				// truncated log): reconstruct the interval from elapsed_s.
-				ivs[slot] = append(ivs[slot], interval{e.TimeUS - int64(st.Seconds*1e6), e.TimeUS})
-			}
-		case obs.EvSteal:
-			if w, ok := attrInt(e.Attrs, "worker"); ok {
-				lane(w).Steals++
-			}
-			a.Savings.Steals++
-		case obs.EvSpeculate:
-			a.Savings.SpeculationRuns++
-		case obs.EvSpeculationWin:
-			a.Savings.SpeculationWins++
-		case obs.EvCacheHit:
-			if a.Savings.CacheHits == nil {
-				a.Savings.CacheHits = map[string]int64{}
-			}
-			scope := attrString(e.Attrs, "scope")
-			if scope == "" {
-				scope = "local"
-			}
-			a.Savings.CacheHits[scope]++
-		case obs.EvCampaignFinish:
-			if saved, ok := attrInt(e.Attrs, "executions_saved"); ok {
-				a.Savings.ExecutionsSaved = saved
-			}
+		ivs[slot] = append(ivs[slot], interval{s.StartUS, s.StartUS + s.DurUS})
+		spec, _ := s.Attrs["spec"].(bool)
+		if spec {
+			w.Spec++
 		}
+		if stolen, _ := s.Attrs["stolen"].(bool); stolen {
+			w.Steals++
+		}
+		// Only accounted attempts are items: a timed-out, crashed,
+		// requeued or abandoned attempt carries `end`, and the losing
+		// copy of a speculated item carries `duplicate`.
+		if _, ended := s.Attrs["end"]; ended {
+			continue
+		}
+		if dup, _ := s.Attrs["duplicate"].(bool); dup {
+			continue
+		}
+		item, _ := attrInt(s.Attrs, "item")
+		a.Items = append(a.Items, ItemStat{Item: item, Test: attrString(s.Attrs, "test"),
+			Worker: slot, Seconds: float64(s.DurUS) / 1e6, Spec: spec})
+		w.Items++
 	}
 
 	for slot, w := range lanes {
 		w.BusyUS = busyUnion(append([]interval(nil), ivs[slot]...))
-		w.Timeline = occupancy(ivs[slot], minT, maxT, timelineBuckets)
+		w.Timeline = occupancy(ivs[slot], lo, hi, timelineBuckets)
 		a.Workers = append(a.Workers, *w)
 	}
 	sort.Slice(a.Workers, func(i, j int) bool { return a.Workers[i].Slot < a.Workers[j].Slot })
 
-	// Exact item-duration quantiles from completion events.
+	// Exact item-duration quantiles from the accounted item spans.
 	sort.Slice(a.Items, func(i, j int) bool { return a.Items[i].Seconds > a.Items[j].Seconds })
 	if n := len(a.Items); n > 0 {
 		sorted := make([]float64, n)
@@ -528,15 +490,22 @@ func (a *Analysis) analyzePerf(samples []obs.PerfSample) {
 		a.CacheSeries = append(a.CacheSeries, s.CacheHitRate())
 		a.HeapSeries = append(a.HeapSeries, float64(s.HeapAllocBytes))
 	}
-	// Queue-wait tail and savings counters events do not carry, from
+	// Queue-wait tail and the savings counters spans do not carry, from
 	// the final registry snapshot.
 	wait := last.Metrics.Hists[obs.MSemWaitSeconds]
 	wait.Merge(last.Metrics.Hists[obs.MSchedQueueWait])
 	if wait.Count > 0 {
 		a.QueueWaitP95 = wait.Quantile(0.95)
 	}
-	a.Savings.TrialsSavedEarly += sumCounters(last.Metrics.Counters, obs.MTrialsSaved, `kind="early-stop"`)
-	a.Savings.TrialsReallocated += sumCounters(last.Metrics.Counters, obs.MTrialsSaved, `kind="reallocated"`)
+	c := last.Metrics.Counters
+	a.addCacheHits("local", sumCounters(c, obs.MCacheHits, `scope="local"`))
+	a.addCacheHits("shared", sumCounters(c, obs.MCacheHits, `scope="shared"`))
+	a.addCacheHits("coalesced", sumCounters(c, obs.MCacheCoalesced))
+	a.Savings.Steals = sumCounters(c, obs.MSteals)
+	a.Savings.SpeculationRuns = sumCounters(c, obs.MSpeculativeRuns)
+	a.Savings.SpeculationWins = sumCounters(c, obs.MSpeculationWins)
+	a.Savings.TrialsSavedEarly = sumCounters(c, obs.MTrialsSaved, `kind="early-stop"`)
+	a.Savings.TrialsReallocated = sumCounters(c, obs.MTrialsSaved, `kind="reallocated"`)
 	if a.Savings.ExecutionsSaved == 0 {
 		a.Savings.ExecutionsSaved = last.Saved
 	}
@@ -559,11 +528,4 @@ outer:
 		total += v
 	}
 	return total
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

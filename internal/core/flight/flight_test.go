@@ -102,21 +102,41 @@ func TestCriticalPathOrphanSpans(t *testing.T) {
 	}
 }
 
-func ev(t int64, event string, attrs map[string]any) obs.EventRecord {
-	return obs.EventRecord{TimeUS: t, Event: event, Attrs: attrs}
+// finalSample is a one-sample perf series: executions saved per the
+// live status, and a registry snapshot holding the given counters.
+func finalSample(saved int64, counters ...func(*obs.Registry)) []obs.PerfSample {
+	reg := obs.NewRegistry()
+	for _, c := range counters {
+		c(reg)
+	}
+	return []obs.PerfSample{{TimeUS: 1, Saved: saved, Metrics: reg.Snapshot()}}
 }
 
-func TestWorkerTimelinesFromEvents(t *testing.T) {
-	events := []obs.EventRecord{
-		ev(0, obs.EvItemDispatch, map[string]any{"item": float64(1), "test": "A", "worker": float64(0)}),
-		ev(0, obs.EvItemDispatch, map[string]any{"item": float64(2), "test": "B", "worker": float64(1)}),
-		ev(40, obs.EvItemComplete, map[string]any{"item": float64(2), "test": "B", "worker": float64(1), "elapsed_s": 40e-6}),
-		ev(50, obs.EvSteal, map[string]any{"item": float64(3), "worker": float64(1)}),
-		ev(50, obs.EvItemDispatch, map[string]any{"item": float64(3), "test": "C", "worker": float64(1)}),
-		ev(100, obs.EvItemComplete, map[string]any{"item": float64(1), "test": "A", "worker": float64(0), "elapsed_s": 100e-6}),
-		ev(100, obs.EvItemComplete, map[string]any{"item": float64(3), "test": "C", "worker": float64(1), "elapsed_s": 50e-6}),
-	}
-	a := Analyze(&Run{Events: events})
+func counter(name string, v int64, labels ...string) func(*obs.Registry) {
+	return func(r *obs.Registry) { r.Counter(name, labels...).Add(v) }
+}
+
+// distTree is the coordinator's span spine for a two-worker run:
+// campaign(1) -> phase(2) -> distribute(3) -> worker slot 0 (4) and
+// worker slot 1 (5). Item spans hang under the worker spans.
+func distTree(items ...obs.SpanRecord) []obs.SpanRecord {
+	return append(items,
+		span(4, 3, "worker", 0, 190, map[string]any{"slot": float64(0)}),
+		span(5, 3, "worker", 0, 190, map[string]any{"slot": float64(1)}),
+		span(3, 2, "distribute", 0, 195, map[string]any{"workers": float64(2)}),
+		span(2, 1, "phase", 0, 198, map[string]any{"phase": "instances"}),
+		span(1, 0, "campaign", 0, 200, map[string]any{"app": "minihdfs"}),
+	)
+}
+
+func TestWorkerTimelinesFromSpans(t *testing.T) {
+	spans := distTree(
+		span(11, 5, "item", 0, 40, map[string]any{"item": float64(2), "test": "B"}),
+		span(10, 4, "item", 0, 100, map[string]any{"item": float64(1), "test": "A"}),
+		span(12, 5, "item", 50, 50, map[string]any{"item": float64(3), "test": "C", "stolen": true}),
+	)
+	perf := finalSample(0, counter(obs.MSteals, 1, "app", "minihdfs"))
+	a := Analyze(&Run{Spans: spans, Perf: perf})
 	if len(a.Workers) != 2 {
 		t.Fatalf("workers = %d, want 2", len(a.Workers))
 	}
@@ -145,20 +165,109 @@ func TestWorkerTimelinesFromEvents(t *testing.T) {
 	}
 }
 
-func TestInProcessEventsCollapseToPoolLane(t *testing.T) {
-	events := []obs.EventRecord{
-		ev(0, obs.EvItemDispatch, map[string]any{"item": float64(1), "test": "A"}),
-		ev(10, obs.EvItemDispatch, map[string]any{"item": float64(2), "test": "B"}),
-		ev(60, obs.EvItemComplete, map[string]any{"item": float64(1), "test": "A", "elapsed_s": 60e-6}),
-		ev(80, obs.EvItemComplete, map[string]any{"item": float64(2), "test": "B", "elapsed_s": 70e-6}),
+func TestInProcessTestSpansCollapseToPoolLane(t *testing.T) {
+	spans := []obs.SpanRecord{
+		span(3, 2, "test", 0, 60, map[string]any{"item": float64(1), "test": "A"}),
+		span(4, 2, "test", 10, 70, map[string]any{"item": float64(2), "test": "B"}),
+		span(2, 1, "phase", 0, 90, map[string]any{"phase": "instances"}),
+		span(1, 0, "campaign", 0, 100, nil),
 	}
-	a := Analyze(&Run{Events: events})
+	a := Analyze(&Run{Spans: spans})
 	if len(a.Workers) != 1 || a.Workers[0].Slot != -1 {
 		t.Fatalf("expected single pool lane, got %+v", a.Workers)
 	}
 	// Overlapping intervals [0,60] and [10,80] union to 80.
 	if a.Workers[0].BusyUS != 80 {
 		t.Errorf("pool busy = %d, want 80", a.Workers[0].BusyUS)
+	}
+	if a.Workers[0].Items != 2 || len(a.Items) != 2 || a.Items[0].Worker != -1 {
+		t.Errorf("pool items = %d, Items = %+v, want 2 unattributed", a.Workers[0].Items, a.Items)
+	}
+}
+
+// TestStitchedLanesCountOnlyAccountedAttempts is the workers=2 shape
+// with everything that must not inflate the lanes: worker test
+// fragments stitched under item spans, a speculative copy that lost
+// (duplicate) and an attempt killed at the item timeout.
+func TestStitchedLanesCountOnlyAccountedAttempts(t *testing.T) {
+	spans := distTree(
+		// Worker 0: item 1 accounted, item 2 timed out.
+		span(20, 10, "test", 21, 38, map[string]any{"item": float64(1), "test": "A"}),
+		span(10, 4, "item", 20, 40, map[string]any{"item": float64(1), "test": "A"}),
+		span(11, 4, "item", 60, 100, map[string]any{"item": float64(2), "test": "B", "end": "timeout"}),
+		// Worker 1: item 3 accounted, a losing speculative copy of item
+		// 1, then item 2's retry, stolen from worker 0's shard.
+		span(21, 12, "test", 21, 28, map[string]any{"item": float64(3), "test": "C"}),
+		span(12, 5, "item", 20, 30, map[string]any{"item": float64(3), "test": "C"}),
+		span(13, 5, "item", 40, 30, map[string]any{"item": float64(1), "test": "A", "spec": true, "duplicate": true}),
+		span(22, 14, "test", 161, 23, map[string]any{"item": float64(2), "test": "B"}),
+		span(14, 5, "item", 160, 25, map[string]any{"item": float64(2), "test": "B", "stolen": true}),
+	)
+	a := Analyze(&Run{Spans: spans})
+	if len(a.Workers) != 2 || a.Workers[0].Slot != 0 || a.Workers[1].Slot != 1 {
+		t.Fatalf("lanes = %+v, want worker 0 and 1 only (no pool lane from stitched test spans)", a.Workers)
+	}
+	w0, w1 := a.Workers[0], a.Workers[1]
+	// Every attempt occupies its slot: [20,60] + [60,160] = 140.
+	if w0.BusyUS != 140 {
+		t.Errorf("worker 0 busy = %d, want 140", w0.BusyUS)
+	}
+	// [20,50] ∪ [40,70] = 50, plus [160,185] = 25.
+	if w1.BusyUS != 75 {
+		t.Errorf("worker 1 busy = %d, want 75", w1.BusyUS)
+	}
+	if w0.Items != 1 || w1.Items != 2 {
+		t.Errorf("accounted items = %d,%d want 1,2", w0.Items, w1.Items)
+	}
+	if w1.Spec != 1 || w1.Steals != 1 || w0.Spec != 0 || w0.Steals != 0 {
+		t.Errorf("spec/steals = w0 %d/%d, w1 %d/%d, want 0/0, 1/1", w0.Spec, w0.Steals, w1.Spec, w1.Steals)
+	}
+	var got []string
+	for _, it := range a.Items {
+		got = append(got, fmt.Sprintf("%s@%d", it.Test, it.Worker))
+	}
+	if want := "A@0,C@1,B@1"; strings.Join(got, ",") != want {
+		t.Errorf("Items = %s, want %s (slowest first, one per accounted attempt)", strings.Join(got, ","), want)
+	}
+}
+
+// TestExecutionsSavedSumsAllCampaigns: an -app all trace holds one
+// campaign span per app, and the savings line must total them all, not
+// keep the last app's count (which is also all the final perf sample's
+// live status still holds).
+func TestExecutionsSavedSumsAllCampaigns(t *testing.T) {
+	spans := []obs.SpanRecord{
+		span(1, 0, "campaign", 0, 100, map[string]any{"app": "minihdfs", "executions_saved": float64(5)}),
+		span(2, 0, "campaign", 100, 50, map[string]any{"app": "miniyarn", "executions_saved": float64(7)}),
+	}
+	a := Analyze(&Run{Spans: spans, Perf: finalSample(7)})
+	if a.Savings.ExecutionsSaved != 12 {
+		t.Errorf("executions saved = %d, want 12 (5 + 7)", a.Savings.ExecutionsSaved)
+	}
+	// Without a trace the perf sample is the only source.
+	if a := Analyze(&Run{Perf: finalSample(7)}); a.Savings.ExecutionsSaved != 7 {
+		t.Errorf("perf-only executions saved = %d, want 7", a.Savings.ExecutionsSaved)
+	}
+}
+
+func TestCacheHitsSplitByPerfScope(t *testing.T) {
+	spans := []obs.SpanRecord{
+		span(2, 1, "cache-hit", 10, 0, nil),
+		span(3, 1, "cache-hit", 20, 0, nil),
+		span(4, 1, "cache-hit", 30, 0, nil),
+		span(1, 0, "campaign", 0, 100, nil),
+	}
+	a := Analyze(&Run{Spans: spans})
+	if got := a.Savings.CacheHits; len(got) != 1 || got["unscoped"] != 3 {
+		t.Errorf("trace-only cache hits = %v, want unscoped:3", got)
+	}
+	perf := finalSample(0,
+		counter(obs.MCacheHits, 1, "app", "x", "scope", "local"),
+		counter(obs.MCacheCoalesced, 1, "app", "x"))
+	a = Analyze(&Run{Spans: spans, Perf: perf})
+	want := map[string]int64{"local": 1, "coalesced": 1, "unscoped": 1}
+	if fmt.Sprint(a.Savings.CacheHits) != fmt.Sprint(want) {
+		t.Errorf("cache hits = %v, want %v", a.Savings.CacheHits, want)
 	}
 }
 
@@ -332,16 +441,12 @@ func TestTrendsPerfMetrics(t *testing.T) {
 }
 
 func TestRenderProfileSmoke(t *testing.T) {
-	spans := []obs.SpanRecord{
-		span(2, 1, "phase", 5, 90, map[string]any{"phase": "instances"}),
-		span(1, 0, "campaign", 0, 100, map[string]any{"app": "minihdfs"}),
-	}
-	events := []obs.EventRecord{
-		ev(0, obs.EvItemDispatch, map[string]any{"item": float64(1), "test": "A", "worker": float64(0)}),
-		ev(90, obs.EvItemComplete, map[string]any{"item": float64(1), "test": "A", "worker": float64(0), "elapsed_s": 1.5}),
-		ev(95, obs.EvCacheHit, map[string]any{"scope": "shared"}),
-	}
-	a := Analyze(&Run{Spans: spans, Events: events})
+	spans := distTree(
+		span(20, 10, "cache-hit", 50, 0, nil),
+		span(10, 4, "item", 0, 90, map[string]any{"item": float64(1), "test": "A"}),
+	)
+	perf := finalSample(0, counter(obs.MCacheHits, 1, "app", "minihdfs", "scope", "shared"))
+	a := Analyze(&Run{Spans: spans, Perf: perf})
 	var b strings.Builder
 	RenderProfile(&b, a)
 	out := b.String()

@@ -39,7 +39,7 @@ type Record struct {
 	Seed  int64  `json:"seed"`
 	// Flags holds the execution-affecting flag settings the run was
 	// invoked with; FlagsDigest is a sha256 over the sorted k=v pairs.
-	// Observability-only flags (trace, metrics, events, http, ledger…)
+	// Observability-only flags (trace, metrics, perf, http, ledger…)
 	// are excluded — they cannot change the outcome, and diffing two
 	// runs that differ only in instrumentation must come out clean.
 	Flags       map[string]string `json:"flags,omitempty"`

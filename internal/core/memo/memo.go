@@ -172,11 +172,9 @@ func (c *Cache) Do(key Key, fn func() Result) (res Result, reused bool) {
 		case <-cl.done:
 			c.hits.Add(1)
 			c.obs.CounterAdd(obs.MCacheHits, 1, "app", c.app, "scope", "local")
-			c.obs.Event(obs.EvCacheHit, obs.String("app", c.app), obs.String("scope", "local"))
 		default:
 			c.coalesced.Add(1)
 			c.obs.CounterAdd(obs.MCacheCoalesced, 1, "app", c.app)
-			c.obs.Event(obs.EvCacheHit, obs.String("app", c.app), obs.String("scope", "coalesced"))
 			<-cl.done
 		}
 		c.obs.RecordCacheSaved(c.app, 1)
@@ -192,7 +190,6 @@ func (c *Cache) Do(key Key, fn func() Result) (res Result, reused bool) {
 			close(cl.done)
 			c.sharedHits.Add(1)
 			c.obs.CounterAdd(obs.MCacheHits, 1, "app", c.app, "scope", "shared")
-			c.obs.Event(obs.EvCacheHit, obs.String("app", c.app), obs.String("scope", "shared"))
 			c.obs.RecordCacheSaved(c.app, 1)
 			return res, true
 		}

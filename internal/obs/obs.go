@@ -1,8 +1,8 @@
 // Package obs is ZebraConf's observability layer: a dependency-free
 // metrics registry (atomic counters, gauges, histograms with Prometheus
 // text exposition), a structured JSONL span tracer, a live progress
-// reporter, a flight-recorder event log, and a live status tracker
-// serving the /api endpoints. The campaign, runner, and harness layers
+// reporter, a periodic perf sampler, and a live status tracker serving
+// the /api endpoints. The campaign, runner, and harness layers
 // call nil-safe Observer methods on every hot path, so with
 // observability disabled (a nil *Observer) the instrumented code costs
 // a nil check and nothing else.
@@ -262,8 +262,6 @@ type Observer struct {
 	Metrics  *Registry
 	Tracer   *Tracer
 	Progress *Progress
-	// Events is the campaign flight recorder (JSONL event log).
-	Events *EventLog
 	// Status is the live campaign state behind the /api endpoints.
 	Status *Status
 	// Sampler is the periodic perf sampler behind -perf and /api/perf.
@@ -317,14 +315,6 @@ func (o *Observer) StartSpan(name string, parent SpanID, attrs ...Attr) *Span {
 		return nil
 	}
 	return o.Tracer.Start(name, parent, attrs...)
-}
-
-// Event appends one record to the flight-recorder event log.
-func (o *Observer) Event(event string, attrs ...Attr) {
-	if o == nil || o.Events == nil {
-		return
-	}
-	o.Events.Emit(event, attrs...)
 }
 
 // Stat exposes the live status tracker (nil when live status is off;
