@@ -169,17 +169,19 @@ func (nn *NameNode) Stop() {
 // monitor runs the liveness loop: a DataNode is dead after
 // 2*recheck + 10*heartbeatInterval silent ticks (the HDFS formula) and stale
 // after staleInterval. Thresholds are read from the configuration on every
-// pass, as the real monitor re-reads its (reconfigurable) settings.
+// pass, as the real monitor re-reads its (reconfigurable) settings. Each
+// pass reads them before it waits, so every NameNode reads them at start,
+// as HDFS's DatanodeManager does, however soon the test stops it.
 func (nn *NameNode) monitor() {
 	defer nn.wg.Done()
 	for {
+		dead := 2*nn.conf.GetTicks(ParamRecheckInterval) + 10*nn.conf.GetTicks(ParamHeartbeatInterval)
+		stale := nn.conf.GetTicks(ParamStaleInterval)
 		select {
 		case <-nn.stop:
 			return
 		case <-nn.env.Scale.After(monitorTicks):
 		}
-		dead := 2*nn.conf.GetTicks(ParamRecheckInterval) + 10*nn.conf.GetTicks(ParamHeartbeatInterval)
-		stale := nn.conf.GetTicks(ParamStaleInterval)
 		now := nn.env.Scale.Now()
 		nn.mu.Lock()
 		for _, dn := range nn.dns {

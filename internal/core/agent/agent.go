@@ -27,6 +27,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"zebraconf/internal/confkit"
 	"zebraconf/internal/gid"
@@ -175,6 +176,10 @@ type Agent struct {
 	traceReads   int // cap; 0 disables the read trace
 	readLog      []ReadEvent
 	readsDropped int
+	// traceFull is set once a read was dropped, so later reads skip the
+	// callsite stack walk without taking mu. The log only grows, so a
+	// stale false costs one wasted walk and never a missing callsite.
+	traceFull atomic.Bool
 
 	// covParams is the uncapped deduplicating coverage sink (nil when
 	// Options.Coverage is off); covSites adds per-param callsites.
@@ -356,11 +361,17 @@ func (a *Agent) RefToClone(orig *confkit.Conf) *confkit.Conf {
 // InterceptGet records the read for the pre-run and, when the TestGenerator
 // assigned a value to <owner entity, parameter>, overrides the result.
 func (a *Agent) InterceptGet(c *confkit.Conf, name, stored string, found bool) (string, bool) {
-	g := gid.ID()
-	// Callsite capture walks the stack only when the read trace or the
-	// coverage callsite sink is on; the default path pays nothing.
+	// Only the thread-only ablation asks which goroutine is reading; the
+	// paper strategy maps the read by the object's owner, so the default
+	// path never walks the stack for a goroutine ID.
+	var g uint64
+	if a.strategy == StrategyThreadOnly {
+		g = gid.ID()
+	}
+	// Callsite capture walks the stack only when the result is kept: the
+	// read trace still has room, or the coverage callsite sink is on.
 	var callsite string
-	if a.traceReads > 0 || a.covSites != nil {
+	if a.covSites != nil || (a.traceReads > 0 && !a.traceFull.Load()) {
 		callsite = appCallsite()
 	}
 	a.mu.Lock()
@@ -435,6 +446,7 @@ func (a *Agent) InterceptGet(c *confkit.Conf, name, stored string, found bool) (
 			a.readLog = append(a.readLog, ev)
 		} else {
 			a.readsDropped++
+			a.traceFull.Store(true)
 		}
 	}
 	a.mu.Unlock()

@@ -164,30 +164,34 @@ func (g *Gateway) acceptLoop() {
 // auth failure and closes the connection.
 func (g *Gateway) admit(conn net.Conn) {
 	conn.SetDeadline(time.Now().Add(helloTimeout))
-	reject := func() {
+	// reject counts the failure before it answers the worker, so a
+	// worker that has read the refusal also finds it in Stats.
+	reject := func(why string) {
 		g.authFails.Add(1)
 		g.o.CounterAdd(obs.MGatewayAuthFailures, 1)
+		if why != "" {
+			writeMsg(conn, Msg{Type: MsgWelcome, Error: why})
+		}
 		conn.Close()
 	}
 	line, err := readLine(conn, maxHelloLine)
 	if err != nil {
-		reject()
+		reject("")
 		return
 	}
 	var hello Msg
 	if json.Unmarshal(line, &hello) != nil || hello.Type != MsgHello {
-		reject()
+		reject("")
 		return
 	}
 	if g.token != "" && hello.Token != g.token {
 		// Tell the worker why before hanging up, so its operator sees
 		// "rejected" instead of a silent reconnect loop.
-		writeMsg(conn, Msg{Type: MsgWelcome, Error: "authentication failed"})
-		reject()
+		reject("authentication failed")
 		return
 	}
 	if writeMsg(conn, Msg{Type: MsgWelcome}) != nil {
-		reject()
+		reject("")
 		return
 	}
 	conn.SetDeadline(time.Time{})

@@ -467,26 +467,27 @@ func (s *Server) runCampaign(c *Campaign) {
 
 // finish settles a campaign's terminal state and, for completed runs,
 // appends its ledger record so `-mode diff` can compare submitted runs.
+// The record is written before the state is published, so a client that
+// sees "done" also sees its run ID.
 func (s *Server) finish(c *Campaign, res *campaign.Result, err error) {
 	c.mu.Lock()
-	c.res = res
-	c.finished = time.Now()
 	c.run = nil
+	finished := time.Now()
+	var state string
 	switch {
 	case c.cancelled || c.state == StateCancelled:
-		c.state = StateCancelled
+		state = StateCancelled
 	case err != nil:
-		c.state = StateFailed
-		c.errMsg = err.Error()
+		state = StateFailed
 	default:
-		c.state = StateDone
+		state = StateDone
 	}
-	state := c.state
 	started := c.started
 	slots := c.slots
 	c.mu.Unlock()
 	c.o.Sampler.Stop() // no-op when the run never started sampling
 
+	var runID string
 	if state == StateDone && res != nil {
 		rec := ledger.Summarize(res, c.req.Seed, started, c.req.EffectiveWorkers(), c.req.ExecFlags())
 		rec.Perf = obs.SummarizePerf(c.o, res.App, res.Elapsed.Seconds(), slots)
@@ -503,11 +504,18 @@ func (s *Server) finish(c *Campaign, res *campaign.Result, err error) {
 		if lerr := ledger.Append(filepath.Join(s.opts.StateDir, "ledger"), rec); lerr != nil {
 			s.logf("campaign %s: writing ledger: %v", c.id, lerr)
 		} else {
-			c.mu.Lock()
-			c.runID = rec.RunID
-			c.mu.Unlock()
+			runID = rec.RunID
 		}
 	}
+	c.mu.Lock()
+	c.res = res
+	c.finished = finished
+	c.state = state
+	c.runID = runID
+	if state == StateFailed {
+		c.errMsg = err.Error()
+	}
+	c.mu.Unlock()
 	s.opts.Obs.CounterAdd(obs.MServerCampaigns, 1, "state", state)
 	if err != nil {
 		s.logf("campaign %s finished: %s (%v)", c.id, state, err)

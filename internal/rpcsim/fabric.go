@@ -185,7 +185,7 @@ func (c *Conn) Call(method string, payload []byte) ([]byte, error) {
 			return resp, nil
 		case <-pingCh:
 			if timer != nil {
-				timer.Reset(c.scale.Dur(tout))
+				resetTimer(timer, c.scale.Dur(tout))
 			}
 		case <-timeoutCh:
 			// A keepalive that arrived during the same scheduling window
@@ -194,7 +194,7 @@ func (c *Conn) Call(method string, payload []byte) ([]byte, error) {
 			select {
 			case <-pingCh:
 				if timer != nil {
-					timer.Reset(c.scale.Dur(tout))
+					resetTimer(timer, c.scale.Dur(tout))
 				}
 				continue
 			default:
@@ -218,6 +218,21 @@ func (c *Conn) Call(method string, payload []byte) ([]byte, error) {
 			return nil, fmt.Errorf("%w: %s.%s after %d ticks", ErrTimeout, s.addr, method, tout)
 		}
 	}
+}
+
+// resetTimer re-arms t to fire after d. Under the go.mod language version
+// timer channels are buffered, so a timer that fired but was not yet
+// received still holds its stale expiry; Reset alone would leave it there
+// and the next select would report a timeout the keepalive already
+// cancelled. Stop and drain first.
+func resetTimer(t *time.Timer, d time.Duration) {
+	if !t.Stop() {
+		select {
+		case <-t.C:
+		default:
+		}
+	}
+	t.Reset(d)
 }
 
 // CallJSON is a convenience for JSON-encoded request/response structs; see

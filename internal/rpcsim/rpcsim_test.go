@@ -2,8 +2,10 @@ package rpcsim
 
 import (
 	"bytes"
+	"compress/flate"
 	"errors"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -283,5 +285,97 @@ func TestJSONHandlerAndCallJSON(t *testing.T) {
 	}
 	if err := conn.CallJSON("nope", msg{}, nil); err == nil {
 		t.Fatal("unknown method accepted")
+	}
+}
+
+// TestResetTimerDiscardsStaleExpiry pins the keepalive reset: a timer that
+// fired while nobody was receiving must not deliver that old expiry after
+// it is re-armed.
+func TestResetTimerDiscardsStaleExpiry(t *testing.T) {
+	t.Parallel()
+	timer := time.NewTimer(time.Millisecond)
+	defer timer.Stop()
+	// Wait until the expiry is buffered in the channel, unreceived. With
+	// unbuffered (synchronous) timer channels it never is; the reset must
+	// still hold the new deadline below.
+	for give := time.Now().Add(time.Second); len(timer.C) == 0 && time.Now().Before(give); {
+		time.Sleep(100 * time.Microsecond)
+	}
+	const wait = 30 * time.Millisecond
+	start := time.Now()
+	resetTimer(timer, wait)
+	select {
+	case <-timer.C:
+		if got := time.Since(start); got < wait {
+			t.Fatalf("timer delivered after %v, before its new %v deadline", got, wait)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("re-armed timer never fired")
+	}
+}
+
+// TestEncodeReusedWritersAreDeterministic runs Encode repeatedly and from
+// concurrent goroutines, so recycled DEFLATE writers are shared across
+// messages: every output must equal the first one and round-trip.
+func TestEncodeReusedWritersAreDeterministic(t *testing.T) {
+	t.Parallel()
+	payload := bytes.Repeat([]byte("heartbeat blk_1073741825 len=134217728; "), 40)
+	for _, codec := range []string{CodecNone, CodecDeflate, CodecRLE} {
+		for _, encrypt := range []bool{false, true} {
+			sec := Security{Codec: codec, Encrypt: encrypt, Key: "k1"}
+			want, err := Encode(sec, payload)
+			if err != nil {
+				t.Fatalf("Encode(%s/%v): %v", codec, encrypt, err)
+			}
+			var wg sync.WaitGroup
+			for g := 0; g < 4; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := 0; i < 25; i++ {
+						// Interleave another payload so the next use of a
+						// writer follows different state.
+						if _, err := Encode(sec, payload[:len(payload)/3]); err != nil {
+							t.Errorf("Encode(%s/%v): %v", codec, encrypt, err)
+							return
+						}
+						wire, err := Encode(sec, payload)
+						if err != nil {
+							t.Errorf("Encode(%s/%v): %v", codec, encrypt, err)
+							return
+						}
+						if !bytes.Equal(wire, want) {
+							t.Errorf("Encode(%s/%v) differs across calls", codec, encrypt)
+							return
+						}
+						out, err := Decode(sec, wire)
+						if err != nil || !bytes.Equal(out, payload) {
+							t.Errorf("round trip (%s/%v) = %v, payload intact %v", codec, encrypt, err, bytes.Equal(out, payload))
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+		}
+	}
+	// A recycled writer must emit what a brand-new one does.
+	var buf bytes.Buffer
+	w, err := flate.NewWriter(&buf, flate.BestSpeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Write(payload); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := compress(CodecDeflate, payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, buf.Bytes()) {
+		t.Fatal("pooled DEFLATE output differs from a fresh writer's")
 	}
 }

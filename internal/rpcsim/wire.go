@@ -20,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 )
 
 // Codec names. CodecNone disables compression; CodecDeflate uses DEFLATE;
@@ -184,14 +185,21 @@ func codecName(b byte) string {
 	}
 }
 
+// deflaters recycles BestSpeed DEFLATE writers: each holds about 1 MB of
+// compressor state, and a campaign encodes every simulated RPC payload.
+// Reset makes a recycled writer emit the same bytes as a new one.
+var deflaters = sync.Pool{New: func() any {
+	w, _ := flate.NewWriter(nil, flate.BestSpeed) // errs only on a bad level
+	return w
+}}
+
 func compress(codec string, data []byte) ([]byte, error) {
 	switch codec {
 	case CodecDeflate:
 		var buf bytes.Buffer
-		w, err := flate.NewWriter(&buf, flate.BestSpeed)
-		if err != nil {
-			return nil, err
-		}
+		w := deflaters.Get().(*flate.Writer)
+		defer deflaters.Put(w)
+		w.Reset(&buf)
 		if _, err := w.Write(data); err != nil {
 			return nil, err
 		}
